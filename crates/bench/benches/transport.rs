@@ -1,6 +1,7 @@
 //! Benchmarks for the transport subsystem's hot paths: the established
-//! ACK-clocked send/receive cycle, SACK scoreboard maintenance under a
-//! lossy window, and ECN mark-or-drop admission on the drop-tail queue.
+//! ACK-clocked send/receive cycle, the per-VM stack's pump as the number of
+//! connections grows, SACK scoreboard maintenance under a lossy window, and
+//! ECN mark-or-drop admission on the drop-tail queue.
 //!
 //! Run with `cargo bench -p fastrak-bench --bench transport` (add
 //! `-- --quick` for a fast smoke pass). Set `FASTRAK_BENCH_JSON=<path>` to
@@ -9,10 +10,11 @@
 use fastrak_bench::harness::{black_box, Suite};
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::flow::{FlowKey, Proto};
-use fastrak_net::packet::SackBlocks;
+use fastrak_net::packet::{L4Meta, Packet, SackBlocks};
 use fastrak_sim::time::SimTime;
 use fastrak_transport::sack::Scoreboard;
-use fastrak_transport::tcp::{TcpConfig, TcpConn};
+use fastrak_transport::stack::{ConnId, TcpStack};
+use fastrak_transport::tcp::{TcpConfig, TcpConn, TSO_LIMIT};
 
 fn flow() -> FlowKey {
     FlowKey {
@@ -45,6 +47,50 @@ fn established_pair() -> (TcpConn, TcpConn) {
     (c, s)
 }
 
+/// One stack pump as the server runs it: `poll_transmit` until `None`,
+/// each segment handed to `to`, then `next_timer`.
+fn stack_pump(from: &mut TcpStack, to: &mut TcpStack, now: SimTime) {
+    while let Some((id, p)) = from.poll_transmit(now, TSO_LIMIT) {
+        let l4 = L4Meta::Tcp {
+            seq: p.seq,
+            ack: p.ack,
+            flags: p.flags,
+        };
+        let mut pkt = Packet::new(0, from.conn(id).flow, l4, p.len, now);
+        pkt.sack = p.sack;
+        to.on_packet(now, &pkt);
+    }
+    black_box(from.next_timer());
+}
+
+/// A client and a server stack joined by `n` established connections; every
+/// segment is acked at once, so no timer is needed to keep data moving.
+fn established_stacks(n: u16) -> (TcpStack, TcpStack, Vec<ConnId>) {
+    let cfg = TcpConfig {
+        ack_every: 1,
+        ..TcpConfig::default()
+    };
+    let mut c = TcpStack::new(cfg);
+    let mut s = TcpStack::new(cfg);
+    s.listen(flow().dst_port);
+    let ids: Vec<ConnId> = (0..n)
+        .map(|i| {
+            c.connect(FlowKey {
+                src_port: flow().src_port + i,
+                ..flow()
+            })
+        })
+        .collect();
+    let t0 = SimTime::ZERO;
+    stack_pump(&mut c, &mut s, t0); // SYNs
+    stack_pump(&mut s, &mut c, t0); // SYN|ACKs
+    stack_pump(&mut c, &mut s, t0); // ACKs
+    assert!(ids.iter().all(|&id| c.conn(id).is_established()));
+    c.drain_events();
+    s.drain_events();
+    (c, s, ids)
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mut su = Suite::new("transport");
@@ -71,6 +117,25 @@ fn main() {
             black_box(c.flight());
         });
         assert_eq!(c.flight(), 0, "ack clock must keep the pipe drained");
+    }
+
+    // One ACK-clocked segment through a pair of stacks with 1 or 96
+    // established connections, of which one has data: each side is pumped
+    // once. The churner VM of `tenant_matrix` holds 96 connections, and the
+    // server pumps a VM's stack on every guest event, so this cost must not
+    // grow with the idle connections.
+    for n in [1u16, 96] {
+        let (mut c, mut s, ids) = established_stacks(n);
+        let busy = ids[ids.len() / 2];
+        let mut now = SimTime::ZERO;
+        su.bench(&format!("tcp_stack_pump/conns/{n}"), || {
+            now = SimTime(now.as_nanos() + 10_000);
+            c.app_send(busy, 1448);
+            stack_pump(&mut c, &mut s, now);
+            stack_pump(&mut s, &mut c, now);
+            black_box(s.drain_events());
+        });
+        assert_eq!(c.conn(busy).flight(), 0, "every segment is acked");
     }
 
     // Scoreboard maintenance under a lossy window: fold three-block SACK

@@ -4,7 +4,7 @@
 //! role in the simulated VM.
 
 use fastrak_sim::{FxHashMap, FxHashSet};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use fastrak_net::flow::FlowKey;
 use fastrak_net::headers::{ecn, tcp_flags};
@@ -46,7 +46,66 @@ pub enum SockEvent {
     Reset(ConnId),
 }
 
+/// A set of connection indexes, one bit per connection.
+#[derive(Debug, Clone, Default)]
+struct ConnSet(Vec<u64>);
+
+impl ConnSet {
+    /// Insert `idx`; false when it was already a member.
+    fn insert(&mut self, idx: usize) -> bool {
+        let w = idx / 64;
+        if w >= self.0.len() {
+            self.0.resize(w + 1, 0);
+        }
+        let bit = 1 << (idx % 64);
+        let fresh = self.0[w] & bit == 0;
+        self.0[w] |= bit;
+        fresh
+    }
+
+    fn remove(&mut self, idx: usize) {
+        self.0[idx / 64] &= !(1 << (idx % 64));
+    }
+
+    /// Insert `0..n`.
+    fn fill(&mut self, n: usize) {
+        for idx in 0..n {
+            self.insert(idx);
+        }
+    }
+
+    /// The smallest member in `lo..hi`.
+    fn first_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        let mut w = lo / 64;
+        let mut bits = self.0.get(w)? & (!0u64 << (lo % 64));
+        loop {
+            if bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                return (idx < hi).then_some(idx);
+            }
+            w += 1;
+            if w * 64 >= hi {
+                return None;
+            }
+            bits = *self.0.get(w)?;
+        }
+    }
+}
+
 /// A VM's TCP stack.
+///
+/// Two indexes, kept in step by every method that mutates a connection,
+/// make each call cost work proportional to the connections that changed:
+/// - `ready` holds every connection whose next `poll_transmit` may do
+///   something. A connection leaves it only when its own poll returned
+///   `None` with no retransmission queued: a `None` can pop a queued
+///   retransmission that was already acked, and the next poll must still
+///   send the entry behind it.
+/// - `deadlines` orders `(earliest timer deadline, connection)` over every
+///   connection with a pending timer; `deadline_of` is each connection's
+///   key in it. A mutation only marks the connection `stale`, and
+///   `next_timer` and `on_timer` re-key the stale ones first, so a
+///   connection touched several times in one pump is re-keyed once.
 #[derive(Debug, Clone)]
 pub struct TcpStack {
     cfg: TcpConfig,
@@ -55,6 +114,18 @@ pub struct TcpStack {
     listeners: FxHashSet<u16>,
     events: VecDeque<SockEvent>,
     rr_cursor: usize,
+    ready: ConnSet,
+    /// Connections mutated since `reindex` last ran, as a set and a list.
+    stale: ConnSet,
+    stale_list: Vec<usize>,
+    deadlines: BTreeSet<(SimTime, usize)>,
+    deadline_of: Vec<Option<SimTime>>,
+    /// The `seg_limit` of the previous `poll_transmit` (0 before the
+    /// first). A smaller one can turn a window-blocked `None` into a
+    /// segment, so it puts every connection back in `ready`.
+    seg_limit: u32,
+    /// Scratch list of the connections due in `on_timer`.
+    due: Vec<usize>,
 }
 
 impl TcpStack {
@@ -67,6 +138,54 @@ impl TcpStack {
             listeners: FxHashSet::default(),
             events: VecDeque::new(),
             rr_cursor: 0,
+            ready: ConnSet::default(),
+            stale: ConnSet::default(),
+            stale_list: Vec::new(),
+            deadlines: BTreeSet::new(),
+            deadline_of: Vec::new(),
+            seg_limit: 0,
+            due: Vec::new(),
+        }
+    }
+
+    /// Append a connection and index it.
+    fn push_conn(&mut self, conn: TcpConn) -> usize {
+        let idx = self.conns.len();
+        self.by_flow.insert(conn.flow, idx);
+        self.conns.push(conn);
+        self.deadline_of.push(None);
+        self.touched(idx);
+        idx
+    }
+
+    /// Note a mutation of connection `idx`: it may have something to send,
+    /// and its earliest deadline may have moved.
+    fn touched(&mut self, idx: usize) {
+        self.ready.insert(idx);
+        self.mark_stale(idx);
+    }
+
+    /// Connection `idx`'s earliest deadline may have moved.
+    fn mark_stale(&mut self, idx: usize) {
+        if self.stale.insert(idx) {
+            self.stale_list.push(idx);
+        }
+    }
+
+    /// Re-key the stale connections in `deadlines`.
+    fn reindex(&mut self) {
+        for idx in self.stale_list.drain(..) {
+            self.stale.remove(idx);
+            let next = self.conns[idx].next_timer().map(|(t, _)| t);
+            let old = std::mem::replace(&mut self.deadline_of[idx], next);
+            if old != next {
+                if let Some(t) = old {
+                    self.deadlines.remove(&(t, idx));
+                }
+                if let Some(t) = next {
+                    self.deadlines.insert((t, idx));
+                }
+            }
         }
     }
 
@@ -82,27 +201,31 @@ impl TcpStack {
             !self.by_flow.contains_key(&flow),
             "duplicate connection for {flow:?}"
         );
-        let id = self.conns.len();
-        self.conns.push(TcpConn::client(flow, self.cfg));
-        self.by_flow.insert(flow, id);
-        ConnId(id as u32)
+        ConnId(self.push_conn(TcpConn::client(flow, self.cfg)) as u32)
     }
 
     /// Queue an application write on `conn`; false when the send buffer is
     /// full.
     pub fn app_send(&mut self, conn: ConnId, bytes: u64) -> bool {
-        self.conns[conn.0 as usize].app_send(bytes)
+        let idx = conn.0 as usize;
+        let accepted = self.conns[idx].app_send(bytes);
+        self.touched(idx);
+        accepted
     }
 
     /// Graceful close: a FIN follows any queued data. The connection keeps
     /// receiving until the peer closes too (half-close semantics).
     pub fn close(&mut self, conn: ConnId) {
-        self.conns[conn.0 as usize].close();
+        let idx = conn.0 as usize;
+        self.conns[idx].close();
+        self.touched(idx);
     }
 
     /// Abortive close: emit an RST and discard all state immediately.
     pub fn abort(&mut self, conn: ConnId) {
-        self.conns[conn.0 as usize].abort();
+        let idx = conn.0 as usize;
+        self.conns[idx].abort();
+        self.touched(idx);
     }
 
     /// Access a connection (stats, state).
@@ -110,17 +233,14 @@ impl TcpStack {
         &self.conns[id.0 as usize]
     }
 
-    /// Mutable access (tests, fault injection).
-    pub fn conn_mut(&mut self, id: ConnId) -> &mut TcpConn {
-        &mut self.conns[id.0 as usize]
-    }
-
     /// All connection ids.
     pub fn conn_ids(&self) -> impl Iterator<Item = ConnId> {
         (0..self.conns.len() as u32).map(ConnId)
     }
 
-    /// Number of connections (open forever; no teardown in this model).
+    /// Number of connections ever opened or accepted. Closed connections
+    /// keep their slot (and id); a new SYN on a closed or TIME_WAIT flow
+    /// key reuses it.
     pub fn len(&self) -> usize {
         self.conns.len()
     }
@@ -149,11 +269,9 @@ impl TcpStack {
             None => {
                 // New inbound connection?
                 if is_bare_syn && self.listeners.contains(&pkt.flow.dst_port) {
-                    let id = self.conns.len();
                     let mut conn = TcpConn::server(ours, self.cfg);
                     conn.set_peer_ecn_request(ecn_requested);
-                    self.conns.push(conn);
-                    self.by_flow.insert(ours, id);
+                    let id = self.push_conn(conn);
                     self.events.push_back(SockEvent::Accepted {
                         conn: ConnId(id as u32),
                         port: pkt.flow.dst_port,
@@ -176,6 +294,7 @@ impl TcpStack {
             let mut conn = TcpConn::server(ours, self.cfg);
             conn.set_peer_ecn_request(ecn_requested);
             self.conns[idx] = conn;
+            self.touched(idx);
             self.events.push_back(SockEvent::Accepted {
                 conn: ConnId(idx as u32),
                 port: pkt.flow.dst_port,
@@ -191,6 +310,7 @@ impl TcpStack {
             pkt.ecn == ecn::CE,
             pkt.sack,
         );
+        self.touched(idx);
         if out.connected {
             self.events
                 .push_back(SockEvent::Connected(ConnId(idx as u32)));
@@ -215,29 +335,52 @@ impl TcpStack {
 
     /// Produce the next segment any connection wants to send, round-robin
     /// across connections for fairness (netperf's threads share the link).
+    /// The order is that of a cyclic scan from `rr_cursor`; connections
+    /// outside the ready set would return `None` and are skipped.
     pub fn poll_transmit(&mut self, now: SimTime, seg_limit: u32) -> Option<(ConnId, SegmentPlan)> {
+        if seg_limit < self.seg_limit {
+            self.ready.fill(self.conns.len());
+        }
+        self.seg_limit = seg_limit;
         let n = self.conns.len();
-        for off in 0..n {
-            let idx = (self.rr_cursor + off) % n;
-            if let Some(plan) = self.conns[idx].poll_transmit(now, seg_limit) {
-                self.rr_cursor = (idx + 1) % n;
-                return Some((ConnId(idx as u32), plan));
+        let start = self.rr_cursor;
+        for (mut lo, hi) in [(start, n), (0, start)] {
+            while let Some(idx) = self.ready.first_in(lo, hi) {
+                lo = idx + 1;
+                if let Some(plan) = self.conns[idx].poll_transmit(now, seg_limit) {
+                    self.mark_stale(idx);
+                    self.rr_cursor = lo % n;
+                    return Some((ConnId(idx as u32), plan));
+                }
+                if !self.conns[idx].has_queued_rtx() {
+                    self.ready.remove(idx);
+                }
             }
         }
         None
     }
 
-    /// Earliest timer deadline across all connections.
-    pub fn next_timer(&self) -> Option<SimTime> {
-        self.conns
-            .iter()
-            .filter_map(|c| c.next_timer().map(|(t, _)| t))
-            .min()
+    /// Earliest timer deadline across all connections (mutable: it first
+    /// re-keys the connections changed since the last call).
+    pub fn next_timer(&mut self) -> Option<SimTime> {
+        self.reindex();
+        self.deadlines.first().map(|&(t, _)| t)
     }
 
     /// Fire all timers due at `now`. Follow with [`TcpStack::poll_transmit`].
+    /// Due connections fire in index order, so `Closed` events come out in
+    /// the order of a full scan.
     pub fn on_timer(&mut self, now: SimTime) {
-        for (idx, c) in self.conns.iter_mut().enumerate() {
+        self.reindex();
+        let mut due = std::mem::take(&mut self.due);
+        due.extend(
+            self.deadlines
+                .range(..=(now, usize::MAX))
+                .map(|&(_, idx)| idx),
+        );
+        due.sort_unstable();
+        for &idx in &due {
+            let c = &mut self.conns[idx];
             let was_closed = c.is_closed();
             while let Some((deadline, which)) = c.next_timer() {
                 if deadline > now {
@@ -254,7 +397,10 @@ impl TcpStack {
                 // TIME_WAIT expiry (2·MSL) released the connection.
                 self.events.push_back(SockEvent::Closed(ConnId(idx as u32)));
             }
+            self.touched(idx);
         }
+        due.clear();
+        self.due = due;
     }
 
     /// Drain pending socket events.
@@ -498,6 +644,38 @@ mod tests {
         let p = plain.connect(flow(40_013));
         pump(&mut plain, &mut server, &mut now);
         assert!(!plain.conn(p).ecn_active());
+    }
+
+    #[test]
+    fn stale_retransmission_pop_keeps_the_connection_ready() {
+        let mut client = TcpStack::new(TcpConfig::default());
+        let mut server = TcpStack::new(TcpConfig::default());
+        server.listen(7000);
+        let c = client.connect(flow(40_020));
+        let mut now = 0;
+        pump(&mut client, &mut server, &mut now);
+        let mss = TcpConfig::default().mss;
+        client.app_send(c, 10 * mss as u64);
+        let mut segs = Vec::new();
+        while let Some((id, plan)) = client.poll_transmit(t(now), mss) {
+            segs.push(mk_pkt(client.conn(id).flow, plan));
+        }
+        assert_eq!(segs.len(), 10);
+        // The first segment is delayed: three dup ACKs queue its fast
+        // retransmission, then it arrives after all and the partial ACK
+        // queues the next hole behind the now-stale first entry.
+        for seg in [&segs[1], &segs[2], &segs[3], &segs[0]] {
+            server.on_packet(t(now), seg);
+            while let Some((id, plan)) = server.poll_transmit(t(now), mss) {
+                client.on_packet(t(now), &mk_pkt(server.conn(id).flow, plan));
+            }
+        }
+        assert_eq!(client.conn(c).stats.fast_retransmits, 1);
+        // This poll pops the stale entry and has nothing else to send ...
+        assert!(client.poll_transmit(t(now), mss).is_none());
+        // ... but the hole's retransmission is still queued behind it.
+        let (id, plan) = client.poll_transmit(t(now), mss).unwrap();
+        assert_eq!((id, plan.seq, plan.is_rtx), (c, 4 * mss as u64 + 1, true));
     }
 
     #[test]

@@ -573,6 +573,13 @@ impl TcpConn {
             return out;
         }
 
+        // An ACK of something not yet sent is dropped (RFC 793 §3.9). With
+        // every incarnation of a flow key starting at sequence 0, it is a
+        // stray from an earlier incarnation of a reused flow key.
+        if flags & tcp_flags::ACK != 0 && ack > self.snd_nxt {
+            return out;
+        }
+
         // --- lifecycle transitions ---
         match self.state {
             TcpState::Closed => return out,
@@ -1135,6 +1142,13 @@ impl TcpConn {
             });
         }
         None
+    }
+
+    /// Retransmissions are queued. The next [`TcpConn::poll_transmit`] pops
+    /// one even when it then returns `None` (the entry was already acked),
+    /// so the poll after it may still send.
+    pub(crate) fn has_queued_rtx(&self) -> bool {
+        !self.rtx_q.is_empty()
     }
 
     fn clear_ack_state(&mut self) {
