@@ -9,6 +9,7 @@
 
 use fastrak_bench::harness::{black_box, Suite};
 use fastrak_net::addr::{Ip, Mac, TenantId};
+use fastrak_net::event::Event;
 use fastrak_net::flow::{FlowKey, Proto};
 use fastrak_net::packet::{Encap, L4Meta, Packet};
 use fastrak_sim::chaos::ChaosConfig;
@@ -36,6 +37,30 @@ impl Node<u64, ()> for Ping {
         if self.left > 0 {
             self.left -= 1;
             api.send(self.peer, SimDuration::from_micros(1), ev + 1);
+        }
+    }
+}
+
+/// The same ping-pong carrying the simulator's real event type: each hop
+/// unpacks the frame and sends it on, so the bench pays for moving an
+/// `Event::Frame` through schedule, pop and dispatch, which the `u64`
+/// events above cannot show.
+struct FramePing {
+    peer: usize,
+    left: u64,
+}
+impl Node<Event, ()> for FramePing {
+    fn on_event(&mut self, ev: Event, api: &mut Api<'_, Event, ()>) {
+        let Event::Frame { port, pkt } = ev else {
+            return;
+        };
+        if self.left > 0 {
+            self.left -= 1;
+            api.send(
+                self.peer,
+                SimDuration::from_micros(1),
+                Event::Frame { port, pkt },
+            );
         }
     }
 }
@@ -239,6 +264,24 @@ fn main() {
             left: 50_000,
         });
         k.post(a, SimTime::ZERO, 0);
+        k.run_to_completion();
+        black_box(k.events_processed());
+    });
+
+    // Same workload with real frames as the events: a packet (boxed, as
+    // the server creates it) bounces between the two nodes.
+    s.bench("des_kernel_100k_frame_events", || {
+        let mut k = Kernel::new((), 1);
+        let a = k.add_node(FramePing {
+            peer: 1,
+            left: 50_000,
+        });
+        let _b = k.add_node(FramePing {
+            peer: a,
+            left: 50_000,
+        });
+        let pkt = Box::new(Packet::new(0, flow(), L4Meta::Udp, 1448, SimTime::ZERO));
+        k.post(a, SimTime::ZERO, Event::Frame { port: 0, pkt });
         k.run_to_completion();
         black_box(k.events_processed());
     });

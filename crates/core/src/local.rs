@@ -388,6 +388,7 @@ impl LocalController {
                     Event::Ctl(CtlMsg::new(
                         api.self_id,
                         CtrlRequest::SetVifRate {
+                            tenant: l.tenant,
                             vm_ip: l.vm_ip,
                             dir,
                             bps: split.sw_bps,

@@ -12,6 +12,12 @@
 //! rx SR-IOV: NIC1 → VLAN demux → [guest vCPU] → TCP/app
 //! ```
 //!
+//! A packet is boxed once, where the guest's TCP stack emits it
+//! (`pump_vm`), and moves by pointer from then on: between nodes inside
+//! `Event::Frame`, and between a server's stages parked in the `pending`
+//! slab, whose slot index is the token the stage's `tags::PENDING` timer
+//! carries. The receiving server drops the box after `TcpStack::on_packet`.
+//!
 //! Host CPU is accounted on three pools mirroring where Linux runs the
 //! work: the vswitch datapath softirq threads, the (single-queue) tunnel
 //! path, and interrupt handling for SR-IOV — see
@@ -27,6 +33,7 @@ use fastrak_sim::kernel::{Api, Node, NodeId};
 use fastrak_sim::tbf::TokenBucket;
 use fastrak_sim::time::{serialization_delay, SimDuration, SimTime};
 use fastrak_sim::FxHashMap;
+use fastrak_transport::stack::SockEvent;
 use fastrak_transport::tcp::TSO_LIMIT;
 
 use crate::app::GuestApi;
@@ -36,7 +43,8 @@ use crate::vswitch::{TxVerdict, Vswitch, VswitchConfig};
 
 /// Timer tags used by server nodes.
 pub mod tags {
-    /// Resume a pending pipeline stage (`a` = token).
+    /// Resume a pending pipeline stage (`a` = slab index of the parked
+    /// stage).
     pub const PENDING: u64 = 1;
     /// TCP stack timer (`a` = vm index, `b` = generation).
     pub const TCP: u64 = 2;
@@ -142,24 +150,27 @@ pub struct ServerStats {
     pub ecn_marked: u64,
 }
 
+/// A packet parked between two pipeline stages until its service
+/// completion fires. Holds the packet by pointer, so parking and resuming
+/// it moves a box, not the packet's bytes.
 #[allow(clippy::enum_variant_names)] // stages are all completions
 enum Pending {
     GuestTxDone {
         vm: usize,
-        pkt: Packet,
+        pkt: Box<Packet>,
     },
     VswitchTxDone {
         vm: usize,
-        pkt: Packet,
+        pkt: Box<Packet>,
         verdict: TxVerdict,
     },
     VswitchRxDone {
         vm: usize,
-        pkt: Packet,
+        pkt: Box<Packet>,
     },
     GuestRxDone {
         vm: usize,
-        pkt: Packet,
+        pkt: Box<Packet>,
     },
 }
 
@@ -176,8 +187,13 @@ pub struct Server {
     /// Uplink wiring: (ToR node, ingress port index at the ToR) per local port.
     uplinks: [Option<(NodeId, usize)>; 2],
     link_free: [SimTime; 2],
-    pending: FxHashMap<u64, Pending>,
-    next_token: u64,
+    /// Slab of parked pipeline stages; a stage's token is its slot index.
+    pending: Vec<Option<Pending>>,
+    /// Free slots of `pending`, reused last-freed first.
+    free_slots: Vec<usize>,
+    /// Reusable socket-event buffers for `drain_stack_events`; a nested
+    /// drain takes its own.
+    event_bufs: Vec<Vec<SockEvent>>,
     /// Shared pool when `cfg.pinned_cpus` is set.
     pin_pool: Option<CpuPool>,
     /// Per-flow monotonic completion clamps (per direction): real stacks
@@ -209,8 +225,9 @@ impl Server {
             irq_pool: CpuPool::new(cfg.irq_threads),
             uplinks: [None, None],
             link_free: [SimTime::ZERO; 2],
-            pending: FxHashMap::default(),
-            next_token: 0,
+            pending: Vec::new(),
+            free_slots: Vec::new(),
+            event_bufs: Vec::new(),
             pin_pool: cfg.pinned_cpus.map(CpuPool::new),
             flow_clock: FxHashMap::default(),
             stats: ServerStats::default(),
@@ -503,11 +520,26 @@ impl Server {
         t
     }
 
+    /// Park a stage; the returned token names its slot.
     fn stash(&mut self, p: Pending) -> u64 {
-        let tok = self.next_token;
-        self.next_token += 1;
-        self.pending.insert(tok, p);
-        tok
+        match self.free_slots.pop() {
+            Some(slot) => {
+                self.pending[slot] = Some(p);
+                slot as u64
+            }
+            None => {
+                self.pending.push(Some(p));
+                (self.pending.len() - 1) as u64
+            }
+        }
+    }
+
+    /// Resume the stage parked under `tok`, freeing its slot.
+    fn unstash(&mut self, tok: u64) -> Option<Pending> {
+        let slot = tok as usize;
+        let p = self.pending.get_mut(slot)?.take()?;
+        self.free_slots.push(slot);
+        Some(p)
     }
 
     // ---------------------------------------------------------------- tx --
@@ -523,7 +555,9 @@ impl Server {
                 break;
             };
             let flow = vm.stack.conn(conn).flow;
-            let mut pkt = Packet::new(
+            // The packet's one allocation: every later stage, the ToR and the
+            // fabric move this box, and the receiver drops it.
+            let mut pkt = Box::new(Packet::new(
                 api.ctx.alloc_packet_id(),
                 flow,
                 L4Meta::Tcp {
@@ -533,7 +567,7 @@ impl Server {
                 },
                 plan.len,
                 api.now,
-            );
+            ));
             pkt.ecn = plan.ecn;
             pkt.sack = plan.sack;
             let cost = self.cfg.cost.guest_tx(&pkt);
@@ -605,16 +639,23 @@ impl Server {
     }
 
     /// Deliver queued socket events to the app (which may generate more).
+    /// Each event is delivered depth-first: whatever the app's handler
+    /// queues is drained (into a buffer of its own) before the next event.
     fn drain_stack_events(&mut self, api: &mut Api<'_, Event, NetCtx>, vm_idx: usize) {
+        if !self.vms[vm_idx].stack.has_events() {
+            return;
+        }
+        let mut events = self.event_bufs.pop().unwrap_or_default();
         for _round in 0..64 {
-            let events = self.vms[vm_idx].stack.drain_events();
+            self.vms[vm_idx].stack.drain_events_into(&mut events);
             if events.is_empty() {
-                return;
+                break;
             }
-            for ev in events {
+            for ev in events.drain(..) {
                 self.with_app(api, vm_idx, |app, g| app.on_event(ev, g));
             }
         }
+        self.event_bufs.push(events);
         debug_assert!(
             !self.vms[vm_idx].stack.has_events(),
             "app/stack event loop did not quiesce"
@@ -659,7 +700,7 @@ impl Server {
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
         vm_idx: usize,
-        mut pkt: Packet,
+        mut pkt: Box<Packet>,
     ) {
         self.vms[vm_idx].tx_inflight -= 1;
         let wire = pkt.wire_bytes_total();
@@ -750,7 +791,7 @@ impl Server {
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
         vm_idx: usize,
-        mut pkt: Packet,
+        mut pkt: Box<Packet>,
         verdict: TxVerdict,
     ) {
         match verdict {
@@ -788,7 +829,7 @@ impl Server {
         api: &mut Api<'_, Event, NetCtx>,
         port: usize,
         at: SimTime,
-        mut pkt: Packet,
+        mut pkt: Box<Packet>,
     ) {
         let Some((tor, tor_port)) = self.uplinks[port] else {
             // Unwired port: drop silently in tests that don't build a fabric.
@@ -841,7 +882,7 @@ impl Server {
 
     // ---------------------------------------------------------------- rx --
 
-    fn on_frame(&mut self, api: &mut Api<'_, Event, NetCtx>, port: usize, mut pkt: Packet) {
+    fn on_frame(&mut self, api: &mut Api<'_, Event, NetCtx>, port: usize, mut pkt: Box<Packet>) {
         self.stats.dp_scalar_pkts += 1;
         self.stats.rx_frames += 1;
         match port {
@@ -920,7 +961,8 @@ impl Server {
     /// the per-packet continuation (irq cost, RNG draw, guest delivery) in
     /// arrival order — bit-identical to `run.len()` scalar [`Self::on_frame`]
     /// calls.
-    fn rx_run_hw(&mut self, api: &mut Api<'_, Event, NetCtx>, run: Vec<Packet>) {
+    #[allow(clippy::vec_box)] // the boxes move on into events; unboxed, each packet is copied
+    fn rx_run_hw(&mut self, api: &mut Api<'_, Event, NetCtx>, run: Vec<Box<Packet>>) {
         let n = run.len() as u64;
         self.stats.rx_frames += n;
         if api.chaos_vf_down_at(api.self_id) {
@@ -950,7 +992,8 @@ impl Server {
     /// part of the run key), the datapath probe is amortized via
     /// [`Vswitch::process_rx_burst`], and admission/clamp/stash stay
     /// per-packet in arrival order.
-    fn rx_run_sw(&mut self, api: &mut Api<'_, Event, NetCtx>, mut run: Vec<Packet>) {
+    #[allow(clippy::vec_box)] // the boxes move on into events; unboxed, each packet is copied
+    fn rx_run_sw(&mut self, api: &mut Api<'_, Event, NetCtx>, mut run: Vec<Box<Packet>>) {
         let n = run.len() as u64;
         self.stats.rx_frames += n;
         let tunneled = matches!(run[0].outer(), Some(Encap::Vxlan { .. }));
@@ -1003,7 +1046,12 @@ impl Server {
         }
     }
 
-    fn on_vswitch_rx_done(&mut self, api: &mut Api<'_, Event, NetCtx>, vm_idx: usize, pkt: Packet) {
+    fn on_vswitch_rx_done(
+        &mut self,
+        api: &mut Api<'_, Event, NetCtx>,
+        vm_idx: usize,
+        pkt: Box<Packet>,
+    ) {
         let wire = pkt.wire_bytes_total();
         let at = self.vswitch.shape_ingress(vm_idx, api.now, wire);
         self.deliver_to_guest(api, vm_idx, pkt, at, true);
@@ -1014,7 +1062,7 @@ impl Server {
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
         vm_idx: usize,
-        pkt: Packet,
+        pkt: Box<Packet>,
         at: SimTime,
         via_vif: bool,
     ) {
@@ -1038,7 +1086,12 @@ impl Server {
         );
     }
 
-    fn on_guest_rx_done(&mut self, api: &mut Api<'_, Event, NetCtx>, vm_idx: usize, pkt: Packet) {
+    fn on_guest_rx_done(
+        &mut self,
+        api: &mut Api<'_, Event, NetCtx>,
+        vm_idx: usize,
+        pkt: Box<Packet>,
+    ) {
         if api.ctx.trace.enabled() {
             if let L4Meta::Tcp { seq, .. } = pkt.l4 {
                 api.ctx.trace.push(
@@ -1091,8 +1144,13 @@ impl Server {
                     self.vms[idx].placer.remove_rule(&spec);
                 }
             }
-            CtrlRequest::SetVifRate { vm_ip, dir, bps } => {
-                if let Some(idx) = self.vms.iter().position(|v| v.spec.ip == vm_ip) {
+            CtrlRequest::SetVifRate {
+                tenant,
+                vm_ip,
+                dir,
+                bps,
+            } => {
+                if let Some(idx) = self.vm_by_ip(tenant, vm_ip) {
                     let burst = (bps / 8 / 100).max(64_000); // ~10ms of rate
                     let tb = Some(TokenBucket::new(bps.max(1), burst));
                     match dir {
@@ -1102,10 +1160,13 @@ impl Server {
                 }
             }
             CtrlRequest::SetHwRate {
-                vm_ip, dir, bps, ..
+                tenant,
+                vm_ip,
+                dir,
+                bps,
             } => {
                 // NIC-side hw shaping (the ToR also supports SetHwRate).
-                if let Some(idx) = self.vms.iter().position(|v| v.spec.ip == vm_ip) {
+                if let Some(idx) = self.vm_by_ip(tenant, vm_ip) {
                     if matches!(dir, Dir::Egress) {
                         let burst = (bps / 8 / 100).max(64_000);
                         self.hw_rate_tx
@@ -1137,7 +1198,7 @@ impl Node<Event, NetCtx> for Server {
             Event::Frame { port, pkt } => self.on_frame(api, port, pkt),
             Event::Timer { tag, a, b } => match tag {
                 tags::PENDING => {
-                    let Some(p) = self.pending.remove(&a) else {
+                    let Some(p) = self.unstash(a) else {
                         return;
                     };
                     match p {
@@ -1208,7 +1269,7 @@ impl Node<Event, NetCtx> for Server {
                 continue;
             }
             self.stats.dp_batch_pkts += n as u64;
-            let run: Vec<Packet> = burst.frames.drain(..n).map(|(_, p)| p).collect();
+            let run: Vec<Box<Packet>> = burst.frames.drain(..n).map(|(_, p)| p).collect();
             match port {
                 PORT_HW => self.rx_run_hw(api, run),
                 PORT_SW => self.rx_run_sw(api, run),
@@ -1219,5 +1280,72 @@ impl Node<Event, NetCtx> for Server {
 
     fn name(&self) -> &str {
         &self.cfg.name
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::app::GuestApp;
+    use crate::vm::VmSpec;
+    use fastrak_sim::kernel::Kernel;
+
+    struct NullApp;
+
+    impl GuestApp for NullApp {
+        fn on_start(&mut self, _api: &mut GuestApi<'_>) {}
+        fn on_event(&mut self, _ev: SockEvent, _api: &mut GuestApi<'_>) {}
+        fn on_timer(&mut self, _tag: u64, _api: &mut GuestApi<'_>) {}
+    }
+
+    #[test]
+    fn rate_limits_land_on_the_named_tenants_vm() {
+        // Two tenants' VMs on one server share a tenant IP; a rate limit
+        // for the second tenant must not land on the first tenant's VM.
+        let ip = Ip::new(10, 0, 0, 2);
+        let mut srv = Server::new(ServerConfig::testbed("s0", Ip::new(192, 168, 0, 1)));
+        for (i, tenant) in [TenantId(1), TenantId(2)].into_iter().enumerate() {
+            let spec = VmSpec {
+                name: format!("vm{i}"),
+                tenant,
+                ip,
+                vcpus: 2,
+                tx_width: 2,
+            };
+            srv.add_vm(Vm::new(spec, Box::new(NullApp)), None);
+        }
+        let mut kernel: Kernel<Event, NetCtx> = Kernel::new(NetCtx::new(), 1);
+        let sid = kernel.add_node(srv);
+        for req in [
+            CtrlRequest::SetVifRate {
+                tenant: TenantId(2),
+                vm_ip: ip,
+                dir: Dir::Egress,
+                bps: 1_000_000,
+            },
+            CtrlRequest::SetHwRate {
+                tenant: TenantId(2),
+                vm_ip: ip,
+                dir: Dir::Egress,
+                bps: 1_000_000,
+            },
+        ] {
+            kernel.post(sid, SimTime::ZERO, Event::Ctl(CtlMsg::new(sid, req)));
+        }
+        kernel.run_to_completion();
+        let srv: &Server = kernel.node(sid);
+        assert!(!srv.vswitch.egress_limited(0), "tenant 1's VIF was limited");
+        assert!(
+            srv.vswitch.egress_limited(1),
+            "tenant 2's VIF was not limited"
+        );
+        assert!(
+            !srv.hw_rate_tx.contains_key(&0),
+            "tenant 1's VF was limited"
+        );
+        assert!(
+            srv.hw_rate_tx.contains_key(&1),
+            "tenant 2's VF was not limited"
+        );
     }
 }

@@ -223,7 +223,8 @@ fn run_server_rx(
                 // Mis-tagged: dropped at demux.
                 _ => (key(1, 2, 1000), Encap::Vlan(999), PORT_HW),
             };
-            let mut pkt = Packet::new(pkt_id, flow, L4Meta::Udp, rng.range(64, 1400) as u32, at);
+            let len = rng.range(64, 1400) as u32;
+            let mut pkt = Box::new(Packet::new(pkt_id, flow, L4Meta::Udp, len, at));
             pkt_id += 1;
             pkt.encap(encap);
             kernel.post(sid, at, Event::Frame { port, pkt });

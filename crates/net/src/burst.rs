@@ -31,8 +31,9 @@ pub fn run_len<T, K: PartialEq>(items: &[T], key: impl Fn(&T) -> K) -> usize {
 /// through the per-packet continuation.
 #[derive(Debug, Default)]
 pub struct PacketBurst {
-    /// `(ingress port, packet)` in delivery (time, seq) order.
-    pub frames: Vec<(usize, Packet)>,
+    /// `(ingress port, packet)` in delivery (time, seq) order. Packets stay
+    /// boxed as the kernel delivered them.
+    pub frames: Vec<(usize, Box<Packet>)>,
 }
 
 impl PacketBurst {
@@ -79,8 +80,8 @@ mod tests {
     use crate::packet::L4Meta;
     use fastrak_sim::time::SimTime;
 
-    fn pkt(dst_port: u16) -> Packet {
-        Packet::new(
+    fn pkt(dst_port: u16) -> Box<Packet> {
+        Box::new(Packet::new(
             1,
             FlowKey {
                 tenant: TenantId(1),
@@ -93,7 +94,7 @@ mod tests {
             L4Meta::Udp,
             100,
             SimTime::ZERO,
-        )
+        ))
     }
 
     #[test]

@@ -87,7 +87,9 @@ pub enum CtrlRequest {
     },
     /// Set the software (VIF) rate limit for a VM in one direction.
     SetVifRate {
-        /// Target VM.
+        /// Owning tenant.
+        tenant: TenantId,
+        /// Target VM tenant IP.
         vm_ip: Ip,
         /// Direction.
         dir: Dir,

@@ -117,8 +117,11 @@ pub enum Event {
     Frame {
         /// Ingress port index on the receiving node.
         port: usize,
-        /// The packet.
-        pkt: Packet,
+        /// The packet, boxed where it is born and moved by pointer from
+        /// then on. A `Packet` is 160 bytes; inline, it would make every
+        /// scheduled event (timers included) that large, and each schedule,
+        /// pop and dispatch would copy it.
+        pkt: Box<Packet>,
     },
     /// A self-scheduled timer. `tag` selects the subsystem; `a`/`b` carry
     /// subsystem-specific identifiers (connection ids, epoch numbers, ...).
@@ -222,6 +225,18 @@ mod tests {
         assert!(duplicate_ctl_event(&timer).is_none());
         let ctl = Event::Ctl(CtlMsg::new(0, Hello(1)));
         assert!(duplicate_ctl_event(&ctl).is_some());
+    }
+
+    #[test]
+    fn events_stay_small() {
+        // Every scheduled event (frames, timers, control messages) is moved
+        // on schedule, pop and dispatch; a field that inflates the enum is
+        // paid for on all of them.
+        assert!(
+            std::mem::size_of::<Event>() <= 48,
+            "Event grew to {} bytes",
+            std::mem::size_of::<Event>()
+        );
     }
 
     #[test]

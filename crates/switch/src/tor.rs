@@ -461,7 +461,7 @@ impl Tor {
         api: &mut Api<'_, Event, NetCtx>,
         port: usize,
         at: SimTime,
-        mut pkt: Packet,
+        mut pkt: Box<Packet>,
     ) {
         let Some(wire) = self.wires[port] else {
             self.stats.fwd_drops += 1;
@@ -496,7 +496,7 @@ impl Tor {
 
     /// Frame from a server's SR-IOV port: VLAN → VRF, ACL, GRE encap or
     /// local hardware delivery (§4.2.1).
-    fn on_hw_frame(&mut self, api: &mut Api<'_, Event, NetCtx>, mut pkt: Packet) {
+    fn on_hw_frame(&mut self, api: &mut Api<'_, Event, NetCtx>, mut pkt: Box<Packet>) {
         let Some(vlan) = pkt.outer_vlan() else {
             // Untagged frame on the hw side: not FasTrak traffic; drop.
             self.stats.acl_drops += 1;
@@ -572,7 +572,8 @@ impl Tor {
     /// probe classify the whole run (one [`WildcardTable::lookup_run`] with
     /// n-fold accounting), then shaping and destination delivery run
     /// per-packet in arrival order — bit-identical to n scalar calls.
-    fn on_hw_run(&mut self, api: &mut Api<'_, Event, NetCtx>, mut run: Vec<Packet>) {
+    #[allow(clippy::vec_box)] // the boxes move on into events; unboxed, each packet is copied
+    fn on_hw_run(&mut self, api: &mut Api<'_, Event, NetCtx>, mut run: Vec<Box<Packet>>) {
         let n = run.len() as u64;
         let Some(vlan) = run[0].outer_vlan() else {
             self.stats.acl_drops += n;
@@ -649,7 +650,7 @@ impl Tor {
         api: &mut Api<'_, Event, NetCtx>,
         tenant: TenantId,
         at: SimTime,
-        mut pkt: Packet,
+        mut pkt: Box<Packet>,
     ) {
         let wire = pkt.wire_bytes_total();
         let at = self.hw_shape(tenant, pkt.flow.dst_ip, Dir::Ingress, at, wire);
@@ -663,7 +664,7 @@ impl Tor {
 
     /// Frame on the software side or from the fabric: GRE termination,
     /// VXLAN/IP routing, or L2 switching for untunneled tenant traffic.
-    fn on_sw_frame(&mut self, api: &mut Api<'_, Event, NetCtx>, mut pkt: Packet) {
+    fn on_sw_frame(&mut self, api: &mut Api<'_, Event, NetCtx>, mut pkt: Box<Packet>) {
         match pkt.outer().copied() {
             Some(Encap::Gre { key, dst, .. }) => {
                 if dst == self.cfg.provider_ip {
@@ -723,7 +724,8 @@ impl Tor {
     /// are the run key, so GRE termination/transit, VXLAN routing, or L2
     /// switching is decided once; route probes are memoized for the run and
     /// frames leave per-packet in arrival order.
-    fn on_sw_run(&mut self, api: &mut Api<'_, Event, NetCtx>, mut run: Vec<Packet>) {
+    #[allow(clippy::vec_box)] // the boxes move on into events; unboxed, each packet is copied
+    fn on_sw_run(&mut self, api: &mut Api<'_, Event, NetCtx>, mut run: Vec<Box<Packet>>) {
         let n = run.len() as u64;
         match run[0].outer().copied() {
             Some(Encap::Gre { key, dst, .. }) => {
@@ -980,7 +982,7 @@ impl Node<Event, NetCtx> for Tor {
                 }
                 continue;
             }
-            let run: Vec<Packet> = burst.frames.drain(..n).map(|(_, p)| p).collect();
+            let run: Vec<Box<Packet>> = burst.frames.drain(..n).map(|(_, p)| p).collect();
             if run[0].outer_vlan().is_some() {
                 self.on_hw_run(api, run);
             } else {

@@ -408,6 +408,12 @@ impl TcpStack {
         self.events.drain(..).collect()
     }
 
+    /// Drain pending socket events onto the end of `out`, reusing its
+    /// allocation.
+    pub fn drain_events_into(&mut self, out: &mut Vec<SockEvent>) {
+        out.extend(self.events.drain(..));
+    }
+
     /// Are there pending socket events?
     pub fn has_events(&self) -> bool {
         !self.events.is_empty()
